@@ -33,7 +33,7 @@
 //! (`tapesim-bench --bin chaos`) asserts it across seeded fault and
 //! overload schedules.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use tapesim_layout::BlockId;
 use tapesim_model::{Micros, SimTime};
@@ -158,15 +158,35 @@ impl ServiceStats {
     }
 }
 
+/// How a ticket was resolved; each outcome has its own
+/// [`ServiceStats`] counter.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Completed,
+    Rejected,
+    Expired,
+}
+
 #[derive(Debug, Clone, Copy)]
 enum TicketPhase {
     /// Live in the engine under this request id.
     Active(RequestId),
     /// Backing off; resubmit at the instant.
     Retry(SimTime),
-    Completed,
-    Rejected,
-    Expired,
+    /// Resolved; the ticket never changes again.
+    Done(Outcome),
+}
+
+impl TicketPhase {
+    fn state(self) -> TicketState {
+        match self {
+            TicketPhase::Active(_) => TicketState::Queued,
+            TicketPhase::Retry(_) => TicketState::AwaitingRetry,
+            TicketPhase::Done(Outcome::Completed) => TicketState::Completed,
+            TicketPhase::Done(Outcome::Rejected) => TicketState::Rejected,
+            TicketPhase::Done(Outcome::Expired) => TicketState::Expired,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -179,10 +199,20 @@ struct TicketRecord {
 
 /// The resilient service facade over a [`SteppedMultiDrive`] in
 /// external-arrival mode. See the module docs for semantics.
+///
+/// Resolved tickets stay in `tickets` (for [`JukeboxService::state`])
+/// but are never visited again: every per-call pass walks `open`, in
+/// ascending index (submission) order, so the engine sees its `cancel`
+/// and `submit_at` calls in the same order a scan of every ticket
+/// would make them.
 pub struct JukeboxService<'a> {
     engine: SteppedMultiDrive<'a>,
     cfg: ServiceConfig,
     tickets: Vec<TicketRecord>,
+    /// Indices of the open tickets: phase `Active` or `Retry`.
+    open: BTreeSet<usize>,
+    /// Open tickets in phase `Retry`.
+    retrying: usize,
     /// Engine request id → ticket index (retries mint fresh engine ids).
     by_request: BTreeMap<RequestId, usize>,
     stats: ServiceStats,
@@ -206,6 +236,8 @@ impl<'a> JukeboxService<'a> {
             engine,
             cfg,
             tickets: Vec::new(),
+            open: BTreeSet::new(),
+            retrying: 0,
             by_request: BTreeMap::new(),
             stats: ServiceStats::default(),
             clock: SimTime::ZERO,
@@ -225,25 +257,14 @@ impl<'a> JukeboxService<'a> {
     /// State of a ticket, if it exists.
     pub fn state(&self, t: Ticket) -> Option<TicketState> {
         let idx = usize::try_from(t.0).ok()?;
-        self.tickets.get(idx).map(|r| match r.phase {
-            TicketPhase::Active(_) => TicketState::Queued,
-            TicketPhase::Retry(_) => TicketState::AwaitingRetry,
-            TicketPhase::Completed => TicketState::Completed,
-            TicketPhase::Rejected => TicketState::Rejected,
-            TicketPhase::Expired => TicketState::Expired,
-        })
+        self.tickets.get(idx).map(|r| r.phase.state())
     }
 
     /// Tickets waiting for service: live in the engine's admission
     /// backlog or backing off before a retry. This is the quantity
     /// metered against [`ServiceConfig::queue_capacity`].
     pub fn backlog(&self) -> usize {
-        let retrying = self
-            .tickets
-            .iter()
-            .filter(|t| matches!(t.phase, TicketPhase::Retry(_)))
-            .count();
-        self.engine.waiting() + retrying
+        self.engine.waiting() + self.retrying
     }
 
     /// Takes a drive out of service or brings it back (administrative,
@@ -255,8 +276,7 @@ impl<'a> JukeboxService<'a> {
     pub fn set_drive_offline(&mut self, d: usize, offline: bool) -> Result<(), SimError> {
         self.engine.set_drive_offline(d, offline)?;
         if self.engine.drives_online() == 0 {
-            let clock = self.clock;
-            self.expire_where(clock, |_| true);
+            self.expire_where(|_| true);
         }
         Ok(())
     }
@@ -311,6 +331,7 @@ impl<'a> JukeboxService<'a> {
             attempts: 0,
             phase: TicketPhase::Active(req),
         });
+        self.open.insert(idx);
         self.by_request.insert(req, idx);
         Ok(Ticket(idx as u64))
     }
@@ -324,9 +345,9 @@ impl<'a> JukeboxService<'a> {
             // Perform retries due before the target so resubmission
             // happens at the backoff instant, not late at `t`.
             let due_retry = self
-                .tickets
+                .open
                 .iter()
-                .filter_map(|r| match r.phase {
+                .filter_map(|&idx| match self.tickets[idx].phase {
                     TicketPhase::Retry(when) if when <= t => Some(when),
                     _ => None,
                 })
@@ -365,30 +386,18 @@ impl<'a> JukeboxService<'a> {
         while self.engine.step_parallel()? == crate::stepped::StepOutcome::Running {}
         self.clock = end;
         self.pump()?;
-        let clock = self.clock;
-        self.expire_where(clock, |_| true);
+        self.expire_where(|_| true);
         // A ticket can survive `expire_where` only when its request was
         // still inside an active sweep when the horizon hit (cancel
         // refuses in-flight work). The run is over, so it was not
         // delivered: it expires unresolved.
-        for idx in 0..self.tickets.len() {
+        while let Some(idx) = self.next_open(0) {
             if let TicketPhase::Active(req) = self.tickets[idx].phase {
                 self.by_request.remove(&req);
-                self.tickets[idx].phase = TicketPhase::Expired;
-                self.stats.expired += 1;
             }
+            self.resolve(idx, Outcome::Expired);
         }
-        let states = self
-            .tickets
-            .iter()
-            .map(|r| match r.phase {
-                TicketPhase::Active(_) => TicketState::Queued,
-                TicketPhase::Retry(_) => TicketState::AwaitingRetry,
-                TicketPhase::Completed => TicketState::Completed,
-                TicketPhase::Rejected => TicketState::Rejected,
-                TicketPhase::Expired => TicketState::Expired,
-            })
-            .collect();
+        let states = self.tickets.iter().map(|r| r.phase.state()).collect();
         let mut report = self.engine.finish();
         report.rejected = self.stats.rejected;
         report.expired = self.stats.expired;
@@ -411,13 +420,12 @@ impl<'a> JukeboxService<'a> {
                     // rule below expires waiting tickets only once the
                     // clock is strictly past the deadline.
                     let met = self.tickets[idx].deadline.is_none_or(|d| at <= d);
-                    if met {
-                        self.tickets[idx].phase = TicketPhase::Completed;
-                        self.stats.completed += 1;
+                    let outcome = if met {
+                        Outcome::Completed
                     } else {
-                        self.tickets[idx].phase = TicketPhase::Expired;
-                        self.stats.expired += 1;
-                    }
+                        Outcome::Expired
+                    };
+                    self.resolve(idx, outcome);
                 }
                 EngineEvent::Failed { req, at } => {
                     let Some(idx) = self.by_request.remove(&req) else {
@@ -432,18 +440,22 @@ impl<'a> JukeboxService<'a> {
         // ticket already scheduled into a sweep runs to completion and is
         // classified by its completion instant above.
         let clock = self.clock;
-        self.expire_where(clock, |r| r.deadline.is_some_and(|d| d < clock));
+        self.expire_where(|r| r.deadline.is_some_and(|d| d < clock));
         // Resubmit due retries.
-        for idx in 0..self.tickets.len() {
-            if let TicketPhase::Retry(when) = self.tickets[idx].phase {
-                if when <= self.clock {
-                    let block = self.tickets[idx].block;
-                    let req = self.engine.submit_at(block, when)?;
-                    self.tickets[idx].phase = TicketPhase::Active(req);
-                    self.by_request.insert(req, idx);
-                    self.stats.retries += 1;
-                }
-            }
+        let due: Vec<(usize, SimTime)> = self
+            .open
+            .iter()
+            .filter_map(|&idx| match self.tickets[idx].phase {
+                TicketPhase::Retry(when) if when <= clock => Some((idx, when)),
+                _ => None,
+            })
+            .collect();
+        for (idx, when) in due {
+            let req = self.engine.submit_at(self.tickets[idx].block, when)?;
+            self.tickets[idx].phase = TicketPhase::Active(req);
+            self.retrying -= 1;
+            self.by_request.insert(req, idx);
+            self.stats.retries += 1;
         }
         Ok(())
     }
@@ -453,8 +465,7 @@ impl<'a> JukeboxService<'a> {
     fn schedule_retry(&mut self, idx: usize, failed_at: SimTime) {
         let rec = &mut self.tickets[idx];
         if rec.attempts >= self.cfg.max_retries {
-            rec.phase = TicketPhase::Expired;
-            self.stats.expired += 1;
+            self.resolve(idx, Outcome::Expired);
             return;
         }
         let shift = rec.attempts.min(63);
@@ -470,33 +481,47 @@ impl<'a> JukeboxService<'a> {
         // immediately instead of burning the attempt.
         let viable = rec.deadline.is_none_or(|d| retry_at < d);
         if !viable {
-            rec.phase = TicketPhase::Expired;
-            self.stats.expired += 1;
+            self.resolve(idx, Outcome::Expired);
             return;
         }
         rec.attempts += 1;
         rec.phase = TicketPhase::Retry(retry_at);
+        self.retrying += 1;
+    }
+
+    /// The first open ticket at index `from` or later.
+    fn next_open(&self, from: usize) -> Option<usize> {
+        self.open.range(from..).next().copied()
+    }
+
+    /// Moves an open ticket to its final phase: the only way a ticket
+    /// leaves `open`.
+    fn resolve(&mut self, idx: usize, outcome: Outcome) {
+        if matches!(self.tickets[idx].phase, TicketPhase::Retry(_)) {
+            self.retrying -= 1;
+        }
+        self.tickets[idx].phase = TicketPhase::Done(outcome);
+        self.open.remove(&idx);
+        match outcome {
+            Outcome::Completed => self.stats.completed += 1,
+            Outcome::Rejected => self.stats.rejected += 1,
+            Outcome::Expired => self.stats.expired += 1,
+        }
     }
 
     /// Expires every matching ticket that is still cancellable: waiting
     /// in the engine (cancel succeeds) or backing off. In-flight work is
     /// never preempted.
-    fn expire_where<F: Fn(&TicketRecord) -> bool>(&mut self, _clock: SimTime, pred: F) {
-        for idx in 0..self.tickets.len() {
-            if !pred(&self.tickets[idx]) {
-                continue;
-            }
-            match self.tickets[idx].phase {
-                TicketPhase::Active(req) if self.engine.cancel(req) => {
-                    self.by_request.remove(&req);
-                    self.tickets[idx].phase = TicketPhase::Expired;
-                    self.stats.expired += 1;
-                }
-                TicketPhase::Retry(_) => {
-                    self.tickets[idx].phase = TicketPhase::Expired;
-                    self.stats.expired += 1;
-                }
-                _ => {}
+    fn expire_where<F: Fn(&TicketRecord) -> bool>(&mut self, pred: F) {
+        let hits: Vec<usize> = self
+            .open
+            .iter()
+            .copied()
+            .filter(|&idx| pred(&self.tickets[idx]))
+            .collect();
+        for idx in hits {
+            if self.cancel(idx) {
+                self.resolve(idx, Outcome::Expired);
             }
         }
     }
@@ -504,23 +529,28 @@ impl<'a> JukeboxService<'a> {
     /// Sheds the oldest cancellable waiting ticket (lowest index =
     /// earliest submission). Returns whether room was made.
     fn shed_oldest(&mut self) -> bool {
-        for idx in 0..self.tickets.len() {
-            match self.tickets[idx].phase {
-                TicketPhase::Active(req) if self.engine.cancel(req) => {
-                    self.by_request.remove(&req);
-                    self.tickets[idx].phase = TicketPhase::Rejected;
-                    self.stats.rejected += 1;
-                    return true;
-                }
-                TicketPhase::Retry(_) => {
-                    self.tickets[idx].phase = TicketPhase::Rejected;
-                    self.stats.rejected += 1;
-                    return true;
-                }
-                _ => {}
+        let mut from = 0;
+        while let Some(idx) = self.next_open(from) {
+            from = idx + 1;
+            if self.cancel(idx) {
+                self.resolve(idx, Outcome::Rejected);
+                return true;
             }
         }
         false
+    }
+
+    /// Withdraws an open ticket from service if it is still waiting:
+    /// backing off, or queued in the engine and not yet in a sweep.
+    fn cancel(&mut self, idx: usize) -> bool {
+        match self.tickets[idx].phase {
+            TicketPhase::Active(req) if self.engine.cancel(req) => {
+                self.by_request.remove(&req);
+                true
+            }
+            TicketPhase::Retry(_) => true,
+            _ => false,
+        }
     }
 }
 
@@ -821,6 +851,120 @@ mod tests {
         assert_eq!(stats.submitted, 11);
         assert_eq!(stats.rejected, 1);
         assert!(stats.expired > 0, "backlog expired on last-drive loss");
+    }
+
+    /// The open-ticket index, checked against a scan of every ticket.
+    fn assert_index_matches_scan(svc: &JukeboxService<'_>) {
+        let open: BTreeSet<usize> = (0..svc.tickets.len())
+            .filter(|&idx| {
+                matches!(
+                    svc.tickets[idx].phase,
+                    TicketPhase::Active(_) | TicketPhase::Retry(_)
+                )
+            })
+            .collect();
+        assert_eq!(svc.open, open, "open index out of step with the tickets");
+        let retrying = svc
+            .tickets
+            .iter()
+            .filter(|r| matches!(r.phase, TicketPhase::Retry(_)))
+            .count();
+        assert_eq!(svc.retrying, retrying, "retry count out of step");
+    }
+
+    #[test]
+    fn open_index_tracks_every_transition() {
+        // Without replicas every media error fails its request for good,
+        // so tickets cycle through backoff, resubmission and exhaustion
+        // alongside shedding, deadline expiry and drive loss.
+        let cat = catalog();
+        let timing = TimingModel::paper_default();
+        let cfg = SimConfig {
+            duration: Micros::from_secs(20_000),
+            warmup: Micros::ZERO,
+            max_pending: 5_000,
+        };
+        let faults = FaultConfig {
+            media_error_per_read: 0.1,
+            ..FaultConfig::NONE
+        };
+        let mut totals = ServiceStats::default();
+        for admission in [AdmissionPolicy::RejectNew, AdmissionPolicy::ShedOldest] {
+            for seed in 1u64..=2 {
+                let mut sched = make_scheduler(AlgorithmId::Fifo);
+                let mut fac = factory(&cat);
+                let mut sink = NullSink;
+                let eng = SteppedMultiDrive::new_external(
+                    &cat,
+                    &timing,
+                    sched.as_mut(),
+                    &mut fac,
+                    &cfg,
+                    3,
+                    &faults,
+                    seed,
+                    &mut sink,
+                )
+                .unwrap();
+                let mut svc = JukeboxService::new(
+                    eng,
+                    ServiceConfig {
+                        queue_capacity: 6,
+                        admission,
+                        deadline: Some(Micros::from_secs(2_000)),
+                        max_retries: 2,
+                        backoff_base: Micros::from_secs(30),
+                        backoff_cap: Micros::from_secs(240),
+                    },
+                )
+                .unwrap();
+                let mut x = seed;
+                let mut draw = |n: u64| {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (x >> 33) % n
+                };
+                let mut now = SimTime::ZERO;
+                for _ in 0..60 {
+                    match draw(4) {
+                        0 | 1 => {
+                            for i in 0..=draw(5) {
+                                let block = BlockId(u32::try_from(draw(500)).unwrap());
+                                match svc.submit(block, now + Micros::from_micros(i)) {
+                                    Ok(_) | Err(SimError::Overloaded) => {}
+                                    Err(e) => panic!("unexpected error: {e}"),
+                                }
+                            }
+                        }
+                        2 => {
+                            now += Micros::from_secs(draw(400));
+                            svc.run_until(now).unwrap();
+                        }
+                        _ => {
+                            let d = usize::try_from(draw(3)).unwrap();
+                            svc.set_drive_offline(d, draw(2) == 0).unwrap();
+                        }
+                    }
+                    assert_index_matches_scan(&svc);
+                }
+                let (_, stats, tickets) = svc.drain_with_tickets().unwrap();
+                assert!(stats.check_conservation(), "{stats:?}");
+                assert!(tickets.iter().all(|t| matches!(
+                    t,
+                    TicketState::Completed | TicketState::Rejected | TicketState::Expired
+                )));
+                totals.completed += stats.completed;
+                totals.rejected += stats.rejected;
+                totals.expired += stats.expired;
+                totals.retries += stats.retries;
+            }
+        }
+        // The mix must have reached every transition the index tracks.
+        assert!(totals.completed > 0, "{totals:?}");
+        assert!(totals.rejected > 0, "{totals:?}");
+        assert!(totals.expired > 0, "{totals:?}");
+        assert!(totals.retries > 0, "{totals:?}");
     }
 
     #[test]
