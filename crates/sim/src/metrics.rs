@@ -257,7 +257,17 @@ impl MetricsCollector {
             p95_delay_s: pct(0.95),
             p99_delay_s: pct(0.99),
             max_delay_s: self.max_delay.as_secs_f64(),
-            delay_samples_us: self.delays.iter().map(|d| d.as_micros()).collect(),
+            // The sorted samples are not read again, so the report takes
+            // their allocation, converted in place, rather than a copy
+            // made while they are still live.
+            delay_samples_us: {
+                let mut samples: Vec<u64> = std::mem::take(&mut self.delays)
+                    .into_iter()
+                    .map(Micros::as_micros)
+                    .collect();
+                samples.shrink_to_fit();
+                samples
+            },
             physical_reads: self.physical_reads,
             tape_switches: self.tape_switches,
             switches_per_hour: if secs > 0.0 {
