@@ -384,6 +384,13 @@ impl PendingList {
         });
         taken
     }
+
+    /// Removes the requests whose positions `taken` marks, preserving
+    /// arrival order in the remainder.
+    pub fn remove_marked(&mut self, taken: &[bool]) {
+        let mut marks = taken.iter();
+        self.queue.retain(|_| !marks.next().is_some_and(|&t| t));
+    }
 }
 
 impl FromIterator<Request> for PendingList {
@@ -553,6 +560,13 @@ mod tests {
         assert_eq!(p.len(), 5);
         let ids: Vec<u64> = p.iter().map(|r| r.id.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn remove_marked_keeps_the_rest_in_order() {
+        let mut p: PendingList = (0..5).map(req).collect();
+        p.remove_marked(&[true, false, false, true, false]);
+        assert_eq!(p.iter().map(|r| r.id.0).collect::<Vec<_>>(), [1, 2, 4]);
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! blocks in the service list), computed with the Section 2.1 timing
 //! model.
 
-use tapesim_layout::Catalog;
 use tapesim_model::{BlockSize, Micros, ReadContext, SlotIndex, TapeId, TimingModel};
-use tapesim_workload::Request;
 
-use crate::api::{JukeboxView, PendingList, ScheduledRead, ServiceList};
+use crate::api::{JukeboxView, ServiceList};
+use crate::index::{distinct_slots, CopyEntry};
 
 /// Time to execute a sequence of stops in the given order starting with
 /// the head at `head`. Each stop is one locate (in whichever direction the
@@ -53,97 +52,6 @@ pub fn execution_cost(
     walk_cost(timing, block, head, stops)
 }
 
-/// The pending work a single tape could serve: the distinct slots to read
-/// and the number of requests they satisfy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TapeCandidate {
-    /// The candidate tape.
-    pub tape: TapeId,
-    /// Distinct slots holding requested blocks, sorted ascending.
-    pub slots: Vec<SlotIndex>,
-    /// Number of pending requests a sweep over `slots` would satisfy.
-    pub request_count: usize,
-}
-
-/// Collects the candidate work for `tape`: every pending request with a
-/// copy on that tape. Returns `None` when the tape can satisfy nothing.
-pub fn candidate_for_tape(
-    catalog: &Catalog,
-    pending: &PendingList,
-    tape: TapeId,
-) -> Option<TapeCandidate> {
-    let mut slots: Vec<SlotIndex> = Vec::new();
-    let mut request_count = 0usize;
-    for r in pending.iter() {
-        if let Some(addr) = catalog.copy_on_tape(r.block, tape) {
-            slots.push(addr.slot);
-            request_count += 1;
-        }
-    }
-    if slots.is_empty() {
-        return None;
-    }
-    slots.sort_unstable();
-    slots.dedup();
-    Some(TapeCandidate {
-        tape,
-        slots,
-        request_count,
-    })
-}
-
-/// Collects the candidate work for every tape in a single pass over the
-/// pending list. Entry `t` is what [`candidate_for_tape`] would return
-/// for tape `t` — a block has at most one copy per tape, so walking each
-/// request's replica list visits exactly the `(request, tape)` pairs the
-/// per-tape scans would, without rescanning the pending list per tape.
-pub fn candidates_for_all_tapes(
-    catalog: &Catalog,
-    pending: &PendingList,
-) -> Vec<Option<TapeCandidate>> {
-    let tapes = catalog.geometry().tapes as usize;
-    let mut slots: Vec<Vec<SlotIndex>> = vec![Vec::new(); tapes];
-    let mut counts: Vec<usize> = vec![0; tapes];
-    for r in pending.iter() {
-        for a in catalog.replicas(r.block) {
-            slots[a.tape.index()].push(a.slot);
-            counts[a.tape.index()] += 1;
-        }
-    }
-    catalog
-        .geometry()
-        .tape_ids()
-        .zip(slots)
-        .zip(counts)
-        .map(|((tape, mut slots), request_count)| {
-            if slots.is_empty() {
-                return None;
-            }
-            slots.sort_unstable();
-            slots.dedup();
-            Some(TapeCandidate {
-                tape,
-                slots,
-                request_count,
-            })
-        })
-        .collect()
-}
-
-/// Per-tape pending-request counts in a single pass — entry `t` equals
-/// the `request_count` of [`candidates_for_all_tapes`]'s entry `t` (0
-/// where that entry is `None`). The count-scored selection policies and
-/// availability probes need only this, not the sorted slot lists.
-pub fn counts_for_all_tapes(catalog: &Catalog, pending: &PendingList) -> Vec<usize> {
-    let mut counts: Vec<usize> = vec![0; catalog.geometry().tapes as usize];
-    for r in pending.iter() {
-        for a in catalog.replicas(r.block) {
-            counts[a.tape.index()] += 1;
-        }
-    }
-    counts
-}
-
 /// Cost to prepare `tape` for service: zero when it is already mounted,
 /// otherwise rewind (if a tape is mounted) + eject + exchange + load,
 /// plus the fleet terms — the wait for this library's robot pool and the
@@ -172,91 +80,30 @@ pub fn start_head(view: &JukeboxView<'_>, tape: TapeId) -> SlotIndex {
     }
 }
 
-/// Effective bandwidth (bytes per second) of sweeping a candidate tape:
+/// Effective bandwidth (bytes per second) of sweeping `tape` over the
+/// distinct slots of `row` (a [`crate::CopyIndex`] row or row prefix):
 /// bytes of the distinct blocks read, divided by mount cost plus sweep
 /// execution time.
-pub fn effective_bandwidth(view: &JukeboxView<'_>, candidate: &TapeCandidate) -> f64 {
+pub fn effective_bandwidth(view: &JukeboxView<'_>, tape: TapeId, row: &[CopyEntry]) -> f64 {
     let block = view.catalog.block_size();
-    let cost = mount_cost(view, candidate.tape)
+    let cost = mount_cost(view, tape)
         + walk_cost(
             view.timing,
             block,
-            start_head(view, candidate.tape),
-            candidate.slots.iter().copied(),
+            start_head(view, tape),
+            distinct_slots(row),
         );
-    let bytes = candidate.slots.len() as u64 * block.bytes();
-    cost.bytes_per_sec(bytes)
-}
-
-/// Maps a set of requests (all with a copy on `tape`) to a forward-only
-/// service list sorted by slot, merging requests that share a block.
-pub fn forward_list_for(catalog: &Catalog, tape: TapeId, requests: Vec<Request>) -> ServiceList {
-    let mut list = ServiceList::new();
-    for r in requests {
-        let addr = catalog
-            .copy_on_tape(r.block, tape)
-            // simlint: allow(panic, scheduler contract; the caller routed this request to a tape holding a copy)
-            .expect("request scheduled on a tape without a copy");
-        list.insert_forward(addr.slot, r);
-    }
-    list
-}
-
-/// Builds the service list for one sweep over `tape` starting with the
-/// head at `head`: blocks at or ahead of the head form the forward phase
-/// (ascending), blocks behind the head form the reverse phase (descending,
-/// read on the way back). On a freshly mounted tape (`head` = 0) the sweep
-/// is purely forward.
-pub fn split_sweep(
-    catalog: &Catalog,
-    tape: TapeId,
-    head: SlotIndex,
-    requests: Vec<Request>,
-) -> ServiceList {
-    // Resolve each slot once, split around the head, then build each
-    // phase by a stable sort and a linear group-by-slot: repeated
-    // ordered inserts into a `VecDeque` are quadratic in sweep length.
-    // The stable sort keeps requests at the same slot in input order,
-    // exactly like appending to an existing stop did.
-    let mut forward: Vec<(SlotIndex, Request)> = Vec::new();
-    let mut reverse: Vec<(SlotIndex, Request)> = Vec::new();
-    for r in requests {
-        let addr = catalog
-            .copy_on_tape(r.block, tape)
-            // simlint: allow(panic, scheduler contract; the caller routed this request to a tape holding a copy)
-            .expect("request scheduled on a tape without a copy");
-        if addr.slot >= head {
-            forward.push((addr.slot, r));
-        } else {
-            reverse.push((addr.slot, r));
-        }
-    }
-    forward.sort_by_key(|&(slot, _)| slot);
-    reverse.sort_by_key(|&(slot, _)| core::cmp::Reverse(slot));
-    let group = |items: Vec<(SlotIndex, Request)>| -> Vec<ScheduledRead> {
-        let mut out: Vec<ScheduledRead> = Vec::new();
-        for (slot, r) in items {
-            match out.last_mut() {
-                Some(stop) if stop.slot == slot => stop.requests.push(r),
-                _ => out.push(ScheduledRead {
-                    slot,
-                    requests: vec![r],
-                }),
-            }
-        }
-        out
-    };
-    ServiceList::from_parts(group(forward), group(reverse))
-        // simlint: allow(panic, the grouped phases are strictly ordered by construction)
-        .expect("grouped sweep phases are strictly ordered")
+    cost.bytes_per_sec(distinct_slots(row).count() as u64 * block.bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::PendingList;
+    use crate::index::CopyIndex;
     use tapesim_layout::{BlockId, Catalog};
     use tapesim_model::{JukeboxGeometry, PhysicalAddr, SimTime};
-    use tapesim_workload::RequestId;
+    use tapesim_workload::{Request, RequestId};
 
     fn block1() -> BlockSize {
         BlockSize::from_mb(1)
@@ -350,28 +197,57 @@ mod tests {
         assert_eq!(execution_cost(&t, b, SlotIndex(0), &list), by_walk);
     }
 
+    fn view_of<'a>(c: &'a Catalog, t: &'a TimingModel, mounted: Option<TapeId>) -> JukeboxView<'a> {
+        JukeboxView {
+            catalog: c,
+            timing: t,
+            mounted,
+            head: SlotIndex(0),
+            now: SimTime::ZERO,
+            unavailable: &[],
+            offline: &[],
+            fleet: crate::api::FleetView::SINGLE,
+        }
+    }
+
+    fn slots(row: &[CopyEntry]) -> Vec<SlotIndex> {
+        distinct_slots(row).collect()
+    }
+
     #[test]
     fn candidate_collects_and_dedups() {
         let c = catalog();
+        let t = timing();
         let mut p = PendingList::new();
         p.push(req(0, 0)); // tape 0 slot 10
         p.push(req(1, 6)); // tape 1 slot 15
         p.push(req(2, 0)); // duplicate block
         p.push(req(3, 3)); // tape 0 slot 40
-        let cand = candidate_for_tape(&c, &p, TapeId(0)).unwrap();
-        assert_eq!(cand.slots, vec![SlotIndex(10), SlotIndex(40)]);
-        assert_eq!(cand.request_count, 3);
-        let cand1 = candidate_for_tape(&c, &p, TapeId(1)).unwrap();
-        assert_eq!(cand1.slots, vec![SlotIndex(15)]);
-        assert_eq!(cand1.request_count, 1);
+        let mut index = CopyIndex::default();
+        index.build(&view_of(&c, &t, None), p.iter());
+        // The duplicate block is one stop but counts twice.
+        let row0 = index.row(TapeId(0));
+        assert_eq!(slots(row0), vec![SlotIndex(10), SlotIndex(40)]);
+        assert_eq!(row0.len(), 3);
+        let row1 = index.row(TapeId(1));
+        assert_eq!(slots(row1), vec![SlotIndex(15)]);
+        assert_eq!(row1.len(), 1);
     }
 
     #[test]
     fn candidate_none_when_tape_has_nothing() {
         let c = catalog();
+        let t = timing();
         let mut p = PendingList::new();
         p.push(req(0, 0));
-        assert!(candidate_for_tape(&c, &p, TapeId(1)).is_none());
+        let v = view_of(&c, &t, None);
+        let mut index = CopyIndex::default();
+        index.build(&v, p.iter());
+        assert!(index.row(TapeId(1)).is_empty());
+        // No tape ranking offers a tape with an empty row.
+        for policy in crate::TapeSelectPolicy::ALL {
+            assert_eq!(policy.select(&v, &p, &index), Some(TapeId(0)));
+        }
     }
 
     #[test]
@@ -409,35 +285,30 @@ mod tests {
         let c = catalog();
         let t = timing();
         let p: PendingList = vec![req(0, 0), req(1, 5)].into_iter().collect();
-        let view = JukeboxView {
-            catalog: &c,
-            timing: &t,
-            mounted: Some(TapeId(0)),
-            head: SlotIndex(0),
-            now: SimTime::ZERO,
-            unavailable: &[],
-            offline: &[],
-            fleet: crate::api::FleetView::SINGLE,
-        };
-        let c0 = candidate_for_tape(&c, &p, TapeId(0)).unwrap();
-        let c1 = candidate_for_tape(&c, &p, TapeId(1)).unwrap();
+        let view = view_of(&c, &t, Some(TapeId(0)));
+        let mut index = CopyIndex::default();
+        index.build(&view, p.iter());
+        let bw = |tape| effective_bandwidth(&view, tape, index.row(tape));
         // Same single-block work, but tape 1 needs a switch.
-        assert!(effective_bandwidth(&view, &c0) > effective_bandwidth(&view, &c1));
+        assert!(bw(TapeId(0)) > bw(TapeId(1)));
     }
 
     #[test]
     fn forward_list_groups_same_block() {
         let c = catalog();
-        let list = forward_list_for(&c, TapeId(0), vec![req(0, 3), req(1, 0), req(2, 3)]);
-        let slots: Vec<u32> = list.forward_stops().map(|r| r.slot.0).collect();
-        assert_eq!(slots, vec![10, 40]);
-        assert_eq!(list.requests(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "without a copy")]
-    fn forward_list_rejects_foreign_request() {
-        let c = catalog();
-        let _ = forward_list_for(&c, TapeId(0), vec![req(0, 7)]);
+        let t = timing();
+        let mut p: PendingList = vec![req(0, 3), req(1, 0), req(2, 3), req(3, 7)]
+            .into_iter()
+            .collect();
+        let mut index = CopyIndex::default();
+        index.build(&view_of(&c, &t, None), p.iter());
+        let list = index.take_sweep(TapeId(0), u32::MAX, SlotIndex::BOT, &mut p);
+        let stops: Vec<(u32, Vec<u64>)> = list
+            .forward_stops()
+            .map(|s| (s.slot.0, s.requests.iter().map(|r| r.id.0).collect()))
+            .collect();
+        // Same-slot requests share one stop, in arrival order.
+        assert_eq!(stops, vec![(10, vec![1]), (40, vec![0, 2])]);
+        assert_eq!(p.iter().map(|r| r.id.0).collect::<Vec<_>>(), [3]);
     }
 }

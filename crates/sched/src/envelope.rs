@@ -22,14 +22,14 @@
 //! Scheduling an optimal extension is NP-hard (Theorem 1); the greedy
 //! extension is within a harmonic factor of optimal (Theorem 2, tested
 //! against a brute-force oracle in `optimal.rs`).
-#![allow(clippy::cast_precision_loss)] // request counts used for ranking stay far below 2^53
 
-use tapesim_layout::Catalog;
 use tapesim_model::{Micros, ReadContext, SlotIndex, TapeId};
 use tapesim_workload::Request;
 
 use crate::api::{ArrivalOutcome, JukeboxView, PendingList, Scheduler, ServiceList, SweepPlan};
-use crate::cost::{mount_cost, split_sweep, start_head, walk_cost};
+use crate::cost::{start_head, walk_cost};
+use crate::index::CopyIndex;
+use crate::select::{best_tape, Score};
 
 /// Tape-switch policies applicable to the envelope algorithm
 /// (Section 3.2: "oldest request envelope", "max requests envelope",
@@ -89,10 +89,10 @@ pub struct EnvelopeScheduler {
     /// Envelope from the most recent major reschedule, consulted and
     /// extended by the incremental scheduler during the sweep.
     env: Envelope,
-    /// The availability-filtered pending list of the current major
-    /// reschedule. Like `work`, it is rebuilt by every call and only
-    /// kept so its capacity carries over to the next one.
-    snapshot: Vec<Request>,
+    /// The pending list's copy index. Like `work`, it is rebuilt by
+    /// every major reschedule and only kept so its capacity carries over
+    /// to the next one.
+    index: CopyIndex,
     work: EnvelopeWork,
 }
 
@@ -103,7 +103,7 @@ impl EnvelopeScheduler {
             policy,
             name: format!("envelope {}", policy.name()),
             env: Vec::new(),
-            snapshot: Vec::new(),
+            index: CopyIndex::default(),
             work: EnvelopeWork::default(),
         }
     }
@@ -130,43 +130,42 @@ impl Scheduler for EnvelopeScheduler {
         view: &JukeboxView<'_>,
         pending: &mut PendingList,
     ) -> Option<SweepPlan> {
-        if pending.is_empty() {
-            return None;
-        }
         // Only requests with a copy on an available tape can be planned
-        // now (others wait for another drive to release their tape).
-        self.snapshot.clear();
-        self.snapshot.extend(pending.iter().filter(|r| {
-            view.catalog
-                .replicas(r.block)
-                .iter()
-                .any(|a| view.is_available(a.tape))
-        }));
-        if self.snapshot.is_empty() {
-            return None;
-        }
+        // now (others wait for another drive to release their tape); the
+        // index holds exactly those.
+        let index = &mut self.index;
+        index.build(view, pending.iter());
+        let oldest = *index.requests().first()?;
         let work = &mut self.work;
-        work.compute(view, &self.snapshot, false);
-        let tape = select_envelope_tape(
-            self.policy,
+        work.compute(view, index, false);
+        // Each tape's candidates are every request satisfiable inside its
+        // envelope (in general a superset of its assignment): the prefix
+        // of its row below the boundary. OldestRequest only considers
+        // tapes that can serve the oldest request there, and ranks them
+        // by request count like the basic oldest-request policies.
+        let env = &work.env;
+        let score = match self.policy {
+            EnvelopePolicy::MaxBandwidth => Score::Bandwidth,
+            EnvelopePolicy::MaxRequests | EnvelopePolicy::OldestRequest => Score::Requests,
+        };
+        let tape = best_tape(
             view,
-            &self.snapshot,
-            &work.cache.copies,
-            &work.env,
+            score,
+            |t| index.row_below(t, env[t.index()]),
+            |t| {
+                self.policy != EnvelopePolicy::OldestRequest
+                    || view
+                        .catalog
+                        .replicas(oldest.block)
+                        .iter()
+                        .any(|a| a.tape == t && a.slot.0 < env[t.index()])
+            },
         )?;
-        let env_t = work.env[tape.index()];
-        let taken = pending.extract(|r| {
-            view.catalog
-                .copy_on_tape(r.block, tape)
-                .is_some_and(|a| a.slot.0 < env_t)
-        });
-        debug_assert!(!taken.is_empty(), "chosen tape must satisfy something");
+        let list = index.take_sweep(tape, env[tape.index()], start_head(view, tape), pending);
+        debug_assert!(!list.is_empty(), "chosen tape must satisfy something");
         // The next call overwrites the buffer swapped into `work`.
         std::mem::swap(&mut self.env, &mut work.env);
-        Some(SweepPlan {
-            tape,
-            list: split_sweep(view.catalog, tape, start_head(view, tape), taken),
-        })
+        Some(SweepPlan { tape, list })
     }
 
     fn on_arrival(
@@ -320,39 +319,26 @@ fn initial_envelope(view: &JukeboxView<'_>, pending: &[Request], env: &mut Envel
     }
 }
 
-/// `(slot, pending index)` of every loaded request's copy on one tape,
-/// sorted ascending.
-type CopyList = Vec<(SlotIndex, usize)>;
-
-/// Per-call index of a pending snapshot plus the per-tape extension
-/// lists derived from it.
-///
-/// [`ExtensionCache::load`] builds, once per upper-envelope computation,
-/// each tape's *copy list*: the `(slot, pending index)` of every
-/// request's copy on that tape, sorted ascending. The catalog holds at
-/// most one copy of a block per tape, so a request appears at most once
-/// per list. Every later per-tape question of the computation is a walk
-/// or a binary search of one list, with no catalog lookup and no sort.
+/// The per-tape extension lists of one upper-envelope computation.
 ///
 /// Every iteration of the extension loop needs, for each available tape,
 /// the distinct slots holding copies of still-unassigned requests and
 /// the cumulative locate/read/locate-back cost of each prefix. The
 /// driver keeps those *extension lists* across iterations and
 /// invalidates only the tapes whose unassigned set or envelope boundary
-/// changed; a rebuild filters the tape's copy list by `assigned` and
-/// costs O(entries on that tape).
+/// changed; a rebuild filters the tape's [`CopyIndex`] row by `assigned`
+/// from the envelope boundary on and costs O(entries on that tape), with
+/// no catalog lookup and no sort.
 ///
 /// All cached quantities are exact integer [`Micros`] sums produced by
 /// the same incremental walk as [`prefix_cost`], so a cache hit is
 /// bit-identical to a fresh recomputation — the property suite in
 /// `tests/envelope_cache_props.rs` asserts cached prefix costs equal
 /// [`prefix_cost`] and that the cached and always-rebuild drivers agree.
-/// Loading keeps every buffer's capacity, so a reused cache allocates
+/// Resetting keeps every buffer's capacity, so a reused cache allocates
 /// nothing once its buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub struct ExtensionCache {
-    /// Per tape: the copy list of the loaded snapshot.
-    copies: Vec<CopyList>,
     tapes: Vec<TapeExtension>,
 }
 
@@ -376,37 +362,18 @@ struct TapeExtension {
 }
 
 impl ExtensionCache {
-    /// Builds every tape's copy list for `pending` and marks every
-    /// extension list stale.
-    pub fn load(&mut self, catalog: &Catalog, pending: &[Request]) {
-        let tapes = catalog.geometry().tapes as usize;
-        self.copies.resize_with(tapes, Vec::new);
+    /// Sizes the cache for `tapes` tapes and marks every extension list
+    /// stale.
+    pub fn reset(&mut self, tapes: usize) {
         self.tapes.resize_with(tapes, TapeExtension::default);
-        for list in &mut self.copies {
-            list.clear();
+        for t in &mut self.tapes {
+            t.valid = false;
         }
-        for (i, r) in pending.iter().enumerate() {
-            for a in catalog.replicas(r.block) {
-                self.copies[a.tape.index()].push((a.slot, i));
-            }
-        }
-        for list in &mut self.copies {
-            list.sort_unstable();
-        }
-        self.invalidate_all();
     }
 
     /// Marks one tape's cached extension list stale.
     pub fn invalidate(&mut self, tape: TapeId) {
         self.tapes[tape.index()].valid = false;
-    }
-
-    /// Marks every tape stale (used by the fresh-recomputation reference
-    /// driver the property suite compares against).
-    pub fn invalidate_all(&mut self) {
-        for t in &mut self.tapes {
-            t.valid = false;
-        }
     }
 
     /// Distinct extension slots cached for `tape`, ascending.
@@ -430,11 +397,14 @@ impl ExtensionCache {
         self.tapes[tape.index()].switch
     }
 
-    /// Rebuilds `tape`'s extension list if it is stale. Every request
-    /// with a copy inside `env` on `tape` must already be assigned.
+    /// Rebuilds `tape`'s extension list from its `index` row if it is
+    /// stale. `assigned` is indexed like [`CopyIndex::requests`]; every
+    /// request with a copy inside `env` on `tape` must already be
+    /// assigned.
     pub fn refresh(
         &mut self,
         view: &JukeboxView<'_>,
+        index: &CopyIndex,
         assigned: &[Option<TapeId>],
         env: &Envelope,
         tape: TapeId,
@@ -453,7 +423,7 @@ impl ExtensionCache {
         } else {
             Micros::ZERO
         };
-        let list = &self.copies[tape.index()];
+        let list = index.row(tape);
         let first = list.partition_point(|&(slot, _)| slot < ext.start);
         debug_assert!(
             list[..first].iter().all(|&(_, i)| assigned[i].is_some()),
@@ -502,10 +472,11 @@ struct EnvelopeWork {
 }
 
 impl EnvelopeWork {
-    /// Computes the upper envelope over `pending` (Section 3.2's six
-    /// steps) into `env`, `assigned` and `counts`. `fresh` rebuilds every
-    /// extension list on every iteration instead of reusing the cache.
-    fn compute(&mut self, view: &JukeboxView<'_>, pending: &[Request], fresh: bool) {
+    /// Computes the upper envelope over the requests of `index` (Section
+    /// 3.2's six steps) into `env`, `assigned` and `counts`. `fresh`
+    /// rebuilds every extension list on every iteration instead of
+    /// reusing the cache.
+    fn compute(&mut self, view: &JukeboxView<'_>, index: &CopyIndex, fresh: bool) {
         let EnvelopeWork {
             cache,
             env,
@@ -515,23 +486,17 @@ impl EnvelopeWork {
             prev_env,
         } = self;
         let catalog = view.catalog;
-        // In the multi-drive extension, every request in `pending` must
-        // have a copy on an available tape (the caller filters), and
-        // unavailable tapes are never part of the envelope.
-        debug_assert!(
-            pending.iter().all(|r| catalog
-                .replicas(r.block)
-                .iter()
-                .any(|a| view.is_available(a.tape))),
-            "snapshot contains a request with no available copy"
-        );
+        // In the multi-drive extension, every indexed request has a copy
+        // on an available tape, and unavailable tapes are never part of
+        // the envelope.
+        let pending = index.requests();
         initial_envelope(view, pending, env);
 
         assigned.clear();
         assigned.resize(pending.len(), None);
         counts.clear();
         counts.resize(env.len(), 0);
-        cache.load(catalog, pending);
+        cache.reset(env.len());
 
         // Step 2 (and re-absorption at each iteration): schedule every
         // request satisfiable inside the current envelope.
@@ -550,10 +515,10 @@ impl EnvelopeWork {
         prev_env.clone_from(env);
         while assigned.iter().any(Option::is_none) {
             if fresh {
-                cache.invalidate_all();
+                cache.reset(env.len());
             }
-            extend_once(view, assigned, counts, env, cache);
-            shrink(view, pending, &cache.copies, assigned, counts, env);
+            extend_once(view, index, assigned, counts, env, cache);
+            shrink(view, index, assigned, counts, env);
             absorb(view, pending, assigned, counts, env);
             for (i, was) in was_assigned.iter_mut().enumerate() {
                 let now = assigned[i].is_some();
@@ -591,9 +556,7 @@ impl EnvelopeWork {
 /// following Section 3.2's six steps. Reuses cached extension lists
 /// across iterations of the extension loop.
 pub fn compute_upper_envelope(view: &JukeboxView<'_>, pending: &[Request]) -> UpperEnvelope {
-    let mut work = EnvelopeWork::default();
-    work.compute(view, pending, false);
-    work.into_upper()
+    upper_envelope(view, pending, false)
 }
 
 /// Reference variant of [`compute_upper_envelope`] that rebuilds every
@@ -601,8 +564,19 @@ pub fn compute_upper_envelope(view: &JukeboxView<'_>, pending: &[Request]) -> Up
 /// exists so tests can assert the cached and fresh computations agree;
 /// schedulers always use the cached driver.
 pub fn compute_upper_envelope_fresh(view: &JukeboxView<'_>, pending: &[Request]) -> UpperEnvelope {
+    upper_envelope(view, pending, true)
+}
+
+fn upper_envelope(view: &JukeboxView<'_>, pending: &[Request], fresh: bool) -> UpperEnvelope {
+    let mut index = CopyIndex::default();
+    index.build(view, pending);
+    debug_assert_eq!(
+        index.requests().len(),
+        pending.len(),
+        "snapshot contains a request with no available copy"
+    );
     let mut work = EnvelopeWork::default();
-    work.compute(view, pending, true);
+    work.compute(view, &index, fresh);
     work.into_upper()
 }
 
@@ -654,6 +628,7 @@ fn absorb(
 /// requests.
 fn extend_once(
     view: &JukeboxView<'_>,
+    index: &CopyIndex,
     assigned: &mut [Option<TapeId>],
     counts: &mut [u32],
     env: &mut Envelope,
@@ -673,7 +648,7 @@ fn extend_once(
         if !view.is_available(tape) {
             continue;
         }
-        cache.refresh(view, assigned, env, tape);
+        cache.refresh(view, index, assigned, env, tape);
         let ext = &cache.tapes[tape.index()];
         let count = counts[tape.index()];
         for (k, &bw) in ext.bws.iter().enumerate() {
@@ -704,7 +679,7 @@ fn extend_once(
     let tape = best.tape;
     let ext = &cache.tapes[tape.index()];
     let edge = ext.slots[best.prefix - 1];
-    let list = &cache.copies[tape.index()];
+    let list = index.row(tape);
     let first = list.partition_point(|&(slot, _)| slot < ext.start);
     for &(slot, i) in &list[first..] {
         if slot > edge {
@@ -725,8 +700,7 @@ fn extend_once(
 /// shrink further.
 fn shrink(
     view: &JukeboxView<'_>,
-    pending: &[Request],
-    copies: &[CopyList],
+    index: &CopyIndex,
     assigned: &mut [Option<TapeId>],
     counts: &mut [u32],
     env: &mut Envelope,
@@ -750,7 +724,7 @@ fn shrink(
             }
             // A request assigned to `a` at the edge slot (one slot holds
             // one block, so any of them names the edge block).
-            let list = &copies[a.index()];
+            let list = index.row(a);
             let edge_slot = SlotIndex(edge - 1);
             let at_edge = &list[list.partition_point(|&(slot, _)| slot < edge_slot)..];
             let edge_request = at_edge
@@ -760,7 +734,7 @@ fn shrink(
             let Some(&(_, i)) = edge_request else {
                 continue; // edge pinned by the head position, not a request
             };
-            let replicas = catalog.replicas(pending[i].block);
+            let replicas = catalog.replicas(index.requests()[i].block);
             if replicas.len() < 2 {
                 continue; // non-replicated blocks cannot move
             }
@@ -797,7 +771,7 @@ fn shrink(
         let Some((_, a, b)) = candidate else { break };
 
         // Move every request reading the edge block from a to b.
-        let list = &copies[a.index()];
+        let list = index.row(a);
         let edge_slot = SlotIndex(env[a.index()] - 1);
         let lo = list.partition_point(|&(slot, _)| slot < edge_slot);
         for &(slot, i) in &list[lo..] {
@@ -827,79 +801,6 @@ fn shrink(
         debug_assert!(new_edge < env[a.index()], "shrink must make progress");
         env[a.index()] = new_edge;
     }
-}
-
-/// The distinct slots of an ascending copy list, in order.
-fn distinct_slots(copies: &[(SlotIndex, usize)]) -> impl Iterator<Item = SlotIndex> + '_ {
-    let mut last = None;
-    copies
-        .iter()
-        .map(|&(slot, _)| slot)
-        .filter(move |&slot| last.replace(slot) != Some(slot))
-}
-
-/// Applies the envelope tape-switch policy: for each tape, the candidate
-/// set is every pending request satisfiable inside that tape's envelope
-/// (in general a superset of the per-tape assignment) — the prefix of
-/// the tape's copy list below its envelope boundary.
-fn select_envelope_tape(
-    policy: EnvelopePolicy,
-    view: &JukeboxView<'_>,
-    pending: &[Request],
-    copies: &[CopyList],
-    env: &Envelope,
-) -> Option<TapeId> {
-    let catalog = view.catalog;
-    let geometry = catalog.geometry();
-    let anchor = view.mounted.unwrap_or(TapeId(0));
-    let block = catalog.block_size();
-    let oldest = pending.first()?;
-
-    let mut best: Option<(f64, u16, TapeId)> = None;
-    for tape in geometry.tape_ids() {
-        if !view.is_available(tape) {
-            continue;
-        }
-        let boundary = env[tape.index()];
-        // OldestRequest only considers tapes that can serve the oldest
-        // request inside their envelope.
-        if policy == EnvelopePolicy::OldestRequest
-            && catalog
-                .copy_on_tape(oldest.block, tape)
-                .is_none_or(|a| a.slot.0 >= boundary)
-        {
-            continue;
-        }
-        let list = &copies[tape.index()];
-        let inside = &list[..list.partition_point(|&(slot, _)| slot.0 < boundary)];
-        if inside.is_empty() {
-            continue;
-        }
-        let score = match policy {
-            EnvelopePolicy::MaxBandwidth => {
-                let cost = mount_cost(view, tape)
-                    + walk_cost(
-                        view.timing,
-                        block,
-                        start_head(view, tape),
-                        distinct_slots(inside),
-                    );
-                cost.bytes_per_sec(distinct_slots(inside).count() as u64 * block.bytes())
-            }
-            // OldestRequest restricts eligibility and then ranks by
-            // request count, like the basic oldest-request policies.
-            EnvelopePolicy::MaxRequests | EnvelopePolicy::OldestRequest => inside.len() as f64,
-        };
-        let dist = geometry.circular_distance(anchor, tape);
-        let better = match &best {
-            None => true,
-            Some((bs, bd, _)) => score > *bs || (score == *bs && dist < *bd),
-        };
-        if better {
-            best = Some((score, dist, tape));
-        }
-    }
-    best.map(|(_, _, t)| t)
 }
 
 #[cfg(test)]

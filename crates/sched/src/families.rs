@@ -13,26 +13,27 @@ use tapesim_model::TapeId;
 use tapesim_workload::Request;
 
 use crate::api::{ArrivalOutcome, JukeboxView, PendingList, Scheduler, ServiceList, SweepPlan};
-use crate::cost::{split_sweep, start_head};
+use crate::cost::start_head;
+use crate::index::CopyIndex;
 use crate::select::TapeSelectPolicy;
 
-/// Shared major rescheduler of the static/dynamic families: select a tape
-/// by `policy`, extract every pending request with a copy on it, and sort
-/// them by position into a sweep (a forward phase; when the selected tape
-/// is already mounted mid-tape, requests behind the head are read in the
-/// reverse phase on the way back).
+/// Shared major rescheduler of the static/dynamic families: index the
+/// pending list, select a tape by `policy`, and take every pending
+/// request with a copy on it as one sweep (a forward phase; when the
+/// selected tape is already mounted mid-tape, requests behind the head
+/// are read in the reverse phase on the way back).
 fn family_major_reschedule(
     policy: TapeSelectPolicy,
+    index: &mut CopyIndex,
     view: &JukeboxView<'_>,
     pending: &mut PendingList,
 ) -> Option<SweepPlan> {
-    let tape = policy.select(view, pending)?;
-    let requests = pending.extract(|r| view.catalog.copy_on_tape(r.block, tape).is_some());
-    debug_assert!(!requests.is_empty(), "selected tape must have requests");
-    Some(SweepPlan {
-        tape,
-        list: split_sweep(view.catalog, tape, start_head(view, tape), requests),
-    })
+    index.build(view, pending.iter());
+    let tape = policy.select(view, pending, index)?;
+    // The whole row: every slot is below `u32::MAX`.
+    let list = index.take_sweep(tape, u32::MAX, start_head(view, tape), pending);
+    debug_assert!(!list.is_empty(), "selected tape must have requests");
+    Some(SweepPlan { tape, list })
 }
 
 /// A static scheduler: tape selection by policy, arrivals always deferred.
@@ -40,6 +41,8 @@ fn family_major_reschedule(
 pub struct StaticScheduler {
     policy: TapeSelectPolicy,
     name: String,
+    /// Rebuilt by every major reschedule; kept for its capacity.
+    index: CopyIndex,
 }
 
 impl StaticScheduler {
@@ -48,6 +51,7 @@ impl StaticScheduler {
         StaticScheduler {
             policy,
             name: format!("static {}", policy.name()),
+            index: CopyIndex::default(),
         }
     }
 
@@ -67,7 +71,7 @@ impl Scheduler for StaticScheduler {
         view: &JukeboxView<'_>,
         pending: &mut PendingList,
     ) -> Option<SweepPlan> {
-        family_major_reschedule(self.policy, view, pending)
+        family_major_reschedule(self.policy, &mut self.index, view, pending)
     }
     // on_arrival: default (defer), which is what makes it static.
 }
@@ -79,6 +83,8 @@ impl Scheduler for StaticScheduler {
 pub struct DynamicScheduler {
     policy: TapeSelectPolicy,
     name: String,
+    /// Rebuilt by every major reschedule; kept for its capacity.
+    index: CopyIndex,
 }
 
 impl DynamicScheduler {
@@ -87,6 +93,7 @@ impl DynamicScheduler {
         DynamicScheduler {
             policy,
             name: format!("dynamic {}", policy.name()),
+            index: CopyIndex::default(),
         }
     }
 
@@ -106,7 +113,7 @@ impl Scheduler for DynamicScheduler {
         view: &JukeboxView<'_>,
         pending: &mut PendingList,
     ) -> Option<SweepPlan> {
-        family_major_reschedule(self.policy, view, pending)
+        family_major_reschedule(self.policy, &mut self.index, view, pending)
     }
 
     fn on_arrival(

@@ -13,8 +13,11 @@
 //! Every algorithm implements the [`Scheduler`] trait — a *major
 //! rescheduler* invoked at tape-switch time and an *incremental scheduler*
 //! invoked for arrivals during a sweep (Section 2.2's service model).
-//! Sweep costs and effective bandwidths are computed with the exact
-//! Section 2.1 timing model via the [`cost`] module.
+//! Every major rescheduler reads the pending list through one
+//! [`CopyIndex`], built once per call: each tape's copies of the pending
+//! requests, sorted by slot. Sweep costs and effective bandwidths are
+//! computed with the exact Section 2.1 timing model via the [`cost`]
+//! module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +28,7 @@ pub mod ec;
 pub mod envelope;
 pub mod families;
 pub mod fifo;
+pub mod index;
 pub mod optimal;
 pub mod registry;
 pub mod select;
@@ -33,10 +37,7 @@ pub use api::{
     ArrivalOutcome, FleetView, JukeboxView, PendingList, ScheduledRead, Scheduler, ServiceList,
     SweepPhase, SweepPlan,
 };
-pub use cost::{
-    candidate_for_tape, candidates_for_all_tapes, effective_bandwidth, execution_cost,
-    forward_list_for, mount_cost, split_sweep, start_head, walk_cost, TapeCandidate,
-};
+pub use cost::{effective_bandwidth, execution_cost, mount_cost, start_head, walk_cost};
 pub use ec::{choose_shards, read_envelope, shard_pick_cost};
 pub use envelope::{
     compute_upper_envelope, compute_upper_envelope_fresh, prefix_cost, EnvelopePolicy,
@@ -44,5 +45,6 @@ pub use envelope::{
 };
 pub use families::{DynamicScheduler, StaticScheduler};
 pub use fifo::FifoScheduler;
+pub use index::{CopyEntry, CopyIndex};
 pub use registry::{make_scheduler, AlgorithmId};
 pub use select::TapeSelectPolicy;

@@ -6,7 +6,7 @@ use tapesim::layout::{build_placement, LayoutKind, PlacementConfig, PlacementSch
 use tapesim::model::{SimTime, SlotIndex};
 use tapesim::prelude::*;
 use tapesim::sched::envelope::compute_upper_envelope;
-use tapesim::sched::{walk_cost, JukeboxView, PendingList};
+use tapesim::sched::{start_head, walk_cost, JukeboxView, PendingList};
 use tapesim::workload::RequestId;
 
 fn arb_layout() -> impl Strategy<Value = LayoutKind> {
@@ -137,14 +137,22 @@ proptest! {
         prop_assert_eq!(counts, upper.counts);
     }
 
-    /// Every scheduler's major reschedule (a) picks a tape that can serve
-    /// all the requests it extracts, (b) removes exactly those requests
-    /// from the pending list, and (c) returns stops in valid sweep order.
+    /// Every scheduler's major reschedule, from any mounted tape and head
+    /// position and with tapes held by another drive or offline, (a)
+    /// picks an available tape that can serve all the requests it
+    /// extracts, (b) removes exactly those requests from the pending
+    /// list, (c) returns stops in valid sweep order around the start
+    /// head, and (d) for the static and dynamic families, leaves no
+    /// request with a copy on the chosen tape pending.
     #[test]
     fn major_reschedule_contract(
         seed in 0u64..500,
         n in 1usize..50,
         alg_idx in 0usize..14,
+        mounted in proptest::option::of(0u16..10),
+        head in 0u32..1_000_000,
+        held in proptest::collection::vec(0u16..10, 0..3),
+        failed in proptest::collection::vec(0u16..10, 0..3),
     ) {
         let g = JukeboxGeometry::PAPER_DEFAULT;
         let placed = build_placement(
@@ -162,25 +170,48 @@ proptest! {
         let mut pending: PendingList = (0..n).map(|_| f.make(SimTime::ZERO)).collect();
         let before = pending.len();
         let timing = TimingModel::paper_default();
+        let mounted = mounted.map(TapeId);
+        // Sorted, disjoint, and never the mounted tape.
+        let tapes = |draw: &[u16], skip: &[TapeId]| {
+            let mut v: Vec<TapeId> = draw
+                .iter()
+                .map(|&t| TapeId(t))
+                .filter(|t| Some(*t) != mounted && !skip.contains(t))
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let unavailable = tapes(&held, &[]);
+        let offline = tapes(&failed, &unavailable);
+        let slots = g.slots_per_tape(BlockSize::PAPER_DEFAULT);
         let view = JukeboxView {
             catalog: &placed.catalog,
             timing: &timing,
-            mounted: None,
-            head: SlotIndex(0),
+            mounted,
+            head: SlotIndex(head % slots),
             now: SimTime::ZERO,
-            unavailable: &[],
-            offline: &[],
+            unavailable: &unavailable,
+            offline: &offline,
             fleet: tapesim::sched::FleetView::SINGLE,
         };
         let mut sched = make_scheduler(alg);
-        let plan = sched.major_reschedule(&view, &mut pending).expect("non-empty pending");
+        let Some(plan) = sched.major_reschedule(&view, &mut pending) else {
+            // Nothing plannable: every pending request waits.
+            prop_assert_eq!(pending.len(), before);
+            prop_assert!(pending.iter().all(|r| placed
+                .catalog
+                .replicas(r.block)
+                .iter()
+                .all(|a| !view.is_available(a.tape))));
+            return Ok(());
+        };
+        prop_assert!(view.is_available(plan.tape), "chose an unavailable tape");
         let served = plan.list.requests();
         prop_assert!(served >= 1);
         prop_assert_eq!(served + pending.len(), before, "requests conserved");
         // All scheduled stops hold the blocks of their requests.
-        let mut fwd_slots = Vec::new();
-        for stop in plan.list.forward_stops() {
-            fwd_slots.push(stop.slot);
+        for stop in plan.list.forward_stops().chain(plan.list.reverse_stops()) {
             for r in &stop.requests {
                 prop_assert_eq!(
                     placed.catalog.copy_on_tape(r.block, plan.tape).map(|a| a.slot),
@@ -188,9 +219,26 @@ proptest! {
                 );
             }
         }
-        // Forward phase strictly ascending (head starts at 0 here).
-        for w in fwd_slots.windows(2) {
+        // Forward stops ascend from the start head; reverse stops descend
+        // below it.
+        let start = start_head(&view, plan.tape);
+        let fwd: Vec<SlotIndex> = plan.list.forward_stops().map(|s| s.slot).collect();
+        let rev: Vec<SlotIndex> = plan.list.reverse_stops().map(|s| s.slot).collect();
+        prop_assert!(fwd.iter().all(|&s| s >= start), "forward stop behind the head");
+        prop_assert!(rev.iter().all(|&s| s < start), "reverse stop at or ahead of the head");
+        for w in fwd.windows(2) {
             prop_assert!(w[0] < w[1]);
+        }
+        for w in rev.windows(2) {
+            prop_assert!(w[0] > w[1]);
+        }
+        if matches!(alg, AlgorithmId::Static(_) | AlgorithmId::Dynamic(_)) {
+            prop_assert!(
+                pending
+                    .iter()
+                    .all(|r| placed.catalog.copy_on_tape(r.block, plan.tape).is_none()),
+                "a request with a copy on the chosen tape was left pending"
+            );
         }
     }
 
